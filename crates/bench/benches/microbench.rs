@@ -110,7 +110,7 @@ fn bench_hungarian(c: &mut Criterion) {
 }
 
 fn bench_solvers(c: &mut Criterion) {
-    use foodmatch_matching::{SolverKind, SparseCostMatrix};
+    use foodmatch_matching::{AssignmentSolver, DenseKm, SparseCostMatrix};
     // A sparse window-shaped instance: 200 batches × 90 vehicles, ~8 finite
     // edges per vehicle, Ω everywhere else.
     let mut rng = StdRng::seed_from_u64(17);
@@ -124,9 +124,10 @@ fn bench_solvers(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("assignment_solvers");
     group.sample_size(10);
-    for kind in SolverKind::ALL {
-        let solver = kind.build(4);
-        group.bench_function(kind.name(), |b| b.iter(|| black_box(solver.solve(&costs))));
+    // The dispatch solver against its dense reference.
+    let production = DispatchConfig { num_threads: 4, ..DispatchConfig::default() }.build_solver();
+    for solver in [production.as_ref(), &DenseKm as &dyn AssignmentSolver] {
+        group.bench_function(solver.name(), |b| b.iter(|| black_box(solver.solve(&costs))));
     }
     group.finish();
 }

@@ -1,8 +1,8 @@
-//! Assignment-solver benchmark: solvers × window pressure on real
-//! FoodGraphs.
+//! Assignment-solver benchmark: the dispatch solver against its dense
+//! reference × window pressure on real FoodGraphs.
 //!
-//! Not a figure of the paper — this experiment measures the pluggable
-//! matching stage across the two regimes a dispatcher actually sees:
+//! Not a figure of the paper — this experiment measures the matching stage
+//! across the two regimes a dispatcher actually sees:
 //!
 //! * **City tier** (`city-b-*`): the genuine pipeline — Algorithm 1
 //!   batching, then the sparsified FoodGraph of Algorithm 2 — on slices of
@@ -17,25 +17,24 @@
 //!   reaches, as in a real multi-zone city. Algorithm 2 then leaves most
 //!   (batch, vehicle) pairs at Ω, the bipartite graph splits into
 //!   per-zone connected components, and the component-sharded sparse
-//!   solvers pull ahead of the dense baseline — the regime this refactor
-//!   targets.
+//!   solver pulls ahead of the dense baseline.
 //!
 //! Reported per pressure level: the connected-component structure of the
-//! bipartite graph (count histogram, largest shard), per-solver solve-time
-//! percentiles, the worst per-instance total-cost deviation from the dense
-//! reference (0 for the exact solvers; sub-unit for the auction), and the
-//! speedup of the default `decomposed-sparse-km` over serial dense KM.
+//! bipartite graph (count histogram, largest shard), solve-time percentiles
+//! of the dispatch solver (`decomposed-sparse-km`) and the serial dense
+//! reference (`dense-km`), the worst per-instance total-cost deviation from
+//! the reference (0: both are exact), and the dispatch solver's speedup.
 //!
 //! With `--bench-out FILE` the results are additionally written as JSON
-//! (`BENCH_matching.json` in CI) so successive commits can compare solver
-//! trajectories.
+//! (`BENCH_matching.json` in CI) so successive commits can compare solve
+//! times.
 
 use crate::harness::{header, percentile, ExperimentContext};
 use foodmatch_core::{
     batch_orders, build_food_graph, singleton_batches, DispatchConfig, Order, OrderId, VehicleId,
     VehicleSnapshot,
 };
-use foodmatch_matching::{decompose, SolverKind, SparseCostMatrix};
+use foodmatch_matching::{decompose, instrumented, AssignmentSolver, DenseKm, SparseCostMatrix};
 use foodmatch_roadnet::generators::GridCityBuilder;
 use foodmatch_roadnet::{Duration, NodeId, ShortestPathEngine, TimePoint};
 use foodmatch_workload::{CityId, Scenario, ScenarioOptions};
@@ -55,7 +54,7 @@ struct Instance {
 
 /// Aggregated per-solver timings at one pressure level.
 struct SolverResult {
-    kind: SolverKind,
+    name: &'static str,
     mean_us: f64,
     p50_us: f64,
     p90_us: f64,
@@ -122,13 +121,8 @@ pub fn run(ctx: &ExperimentContext) {
             pressure,
             instance_count,
         );
-        let result = bench_pressure(
-            format!("city-b-{pressure}"),
-            pressure,
-            vehicles.len(),
-            &instances,
-            threads,
-        );
+        let result =
+            bench_pressure(format!("city-b-{pressure}"), pressure, vehicles.len(), &instances);
         print_pressure(&result);
         results.push(result);
     }
@@ -147,13 +141,8 @@ pub fn run(ctx: &ExperimentContext) {
         metro.grid, metro.grid, metro.spacing_m, metro.zones, metro.orders, metro.vehicles
     );
     let instances = build_metro_instances(&metro, ctx.seed, metro_instances);
-    let result = bench_pressure(
-        format!("metro-{}", metro.orders),
-        metro.orders,
-        metro.vehicles,
-        &instances,
-        threads,
-    );
+    let result =
+        bench_pressure(format!("metro-{}", metro.orders), metro.orders, metro.vehicles, &instances);
     print_pressure(&result);
     results.push(result);
 
@@ -280,7 +269,6 @@ fn bench_pressure(
     pressure: usize,
     vehicles: usize,
     instances: &[Instance],
-    threads: usize,
 ) -> PressureResult {
     // Component structure (solver-independent).
     let mut histogram: BTreeMap<usize, usize> = BTreeMap::new();
@@ -300,13 +288,11 @@ fn bench_pressure(
     }
 
     // Reference totals from the serial dense solver.
-    let dense = SolverKind::DenseKm.build(1);
     let dense_totals: Vec<f64> =
-        instances.iter().map(|i| dense.solve(&i.costs).total_cost).collect();
+        instances.iter().map(|i| DenseKm.solve(&i.costs).total_cost).collect();
 
     let mut solvers: Vec<SolverResult> = Vec::new();
-    for kind in SolverKind::ALL {
-        let solver = kind.build(threads);
+    for solver in [instrumented(DenseKm), DispatchConfig::default().build_solver()] {
         let mut best_us: Vec<f64> = Vec::with_capacity(instances.len());
         let mut max_cost_delta = 0.0_f64;
         for (instance, &dense_total) in instances.iter().zip(&dense_totals) {
@@ -324,7 +310,7 @@ fn bench_pressure(
         let mut sorted = best_us.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("timings are never NaN"));
         solvers.push(SolverResult {
-            kind,
+            name: solver.name(),
             mean_us: best_us.iter().sum::<f64>() / best_us.len().max(1) as f64,
             p50_us: percentile(&sorted, 50.0),
             p90_us: percentile(&sorted, 90.0),
@@ -333,10 +319,9 @@ fn bench_pressure(
         });
     }
 
-    let mean_of = |kind: SolverKind| {
-        solvers.iter().find(|s| s.kind == kind).map(|s| s.mean_us).unwrap_or(f64::NAN)
-    };
-    let speedup = mean_of(SolverKind::DenseKm) / mean_of(SolverKind::DecomposedSparseKm);
+    let mean_of =
+        |name: &str| solvers.iter().find(|s| s.name == name).map(|s| s.mean_us).unwrap_or(f64::NAN);
+    let speedup = mean_of("dense-km") / mean_of("decomposed-sparse-km");
 
     PressureResult {
         label,
@@ -386,7 +371,7 @@ fn print_pressure(result: &PressureResult) {
     for solver in &result.solvers {
         println!(
             "  {:<22} {:>10.0} {:>10.0} {:>10.0} {:>10.0} {:>14.6}",
-            solver.kind.name(),
+            solver.name,
             solver.mean_us,
             solver.p50_us,
             solver.p90_us,
@@ -442,7 +427,7 @@ fn to_json(ctx: &ExperimentContext, threads: usize, results: &[PressureResult]) 
             out.push_str(&format!(
                 "       {{\"name\": \"{}\", \"mean_us\": {:.1}, \"p50_us\": {:.1}, \
                  \"p90_us\": {:.1}, \"max_us\": {:.1}, \"max_cost_delta_vs_dense\": {:.6}}}{}\n",
-                s.kind.name(),
+                s.name,
                 s.mean_us,
                 s.p50_us,
                 s.p90_us,
@@ -488,7 +473,7 @@ mod tests {
                 histogram,
             },
             solvers: vec![SolverResult {
-                kind: SolverKind::DenseKm,
+                name: "dense-km",
                 mean_us: 100.0,
                 p50_us: 90.0,
                 p90_us: 120.0,

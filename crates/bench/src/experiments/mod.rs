@@ -108,7 +108,7 @@ pub const ALL: &[Experiment] = &[
     },
     Experiment {
         name: "matching",
-        description: "Assignment solvers: component sharding and solve times vs window pressure",
+        description: "Dispatch solver vs dense KM: component sharding and solve times by pressure",
         run: matching::run,
     },
     Experiment {

@@ -14,8 +14,8 @@
 
 use crate::config::DispatchConfig;
 use crate::order::{Order, OrderId};
-use crate::parallel::parallel_map;
 use crate::route::{plan_optimal_route_free_start, EvaluatedRoute, PlannedOrder};
+use foodmatch_matching::parallel_map;
 use foodmatch_roadnet::{NodeId, ShortestPathEngine, TimePoint};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -6,7 +6,7 @@
 //! 45-minute maximum first mile, `Δ = 3 min`, `η = 60 s`, `γ = 0.5`,
 //! `k = 200 × |O(ℓ)|/|V(ℓ)|`.
 
-use foodmatch_matching::SolverKind;
+use foodmatch_matching::{instrumented, AssignmentSolver, Decomposed, SparseKm};
 use foodmatch_roadnet::Duration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -101,11 +101,6 @@ pub struct DispatchConfig {
     /// for every value — the fan-out is deterministic — so this knob only
     /// trades wall-clock for cores.
     pub num_threads: usize,
-    /// The assignment solver the matching stage routes through (§IV-A). All
-    /// exact solvers produce equal-cost assignments; the default shards the
-    /// FoodGraph by connected component and solves the shards in parallel
-    /// with the sparse Kuhn–Munkres solver.
-    pub solver: SolverKind,
 }
 
 impl Default for DispatchConfig {
@@ -125,7 +120,6 @@ impl Default for DispatchConfig {
             use_bfs_sparsification: true,
             use_angular_distance: true,
             num_threads: 0,
-            solver: SolverKind::DecomposedSparseKm,
         }
     }
 }
@@ -198,11 +192,14 @@ impl DispatchConfig {
         Duration::from_secs_f64(self.rejection_penalty_secs)
     }
 
-    /// Instantiates the configured assignment solver with the dispatch
-    /// fan-out width (used by `Decomposed*` solvers for per-component
-    /// parallelism; the result is identical for every width).
-    pub fn build_solver(&self) -> Box<dyn foodmatch_matching::AssignmentSolver> {
-        self.solver.build(self.effective_threads())
+    /// Instantiates the matching-stage solver (§IV-A): the FoodGraph is
+    /// sharded by connected component and each shard is solved by sparse
+    /// Kuhn–Munkres, the shards fanned out over
+    /// [`effective_threads`](Self::effective_threads) workers (the result is
+    /// identical for every width). Instrumented while a telemetry recorder
+    /// is installed.
+    pub fn build_solver(&self) -> Box<dyn AssignmentSolver> {
+        instrumented(Decomposed::new(SparseKm).with_threads(self.effective_threads()))
     }
 
     /// Returns a copy configured as the plain Kuhn–Munkres baseline (§IV-A):
@@ -312,12 +309,6 @@ impl DispatchConfigBuilder {
         self
     }
 
-    /// Sets the assignment solver.
-    pub fn solver(mut self, value: SolverKind) -> Self {
-        self.config.solver = value;
-        self
-    }
-
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<DispatchConfig, ConfigError> {
         self.config.validate()?;
@@ -341,8 +332,7 @@ mod tests {
         assert_eq!(c.rejection_deadline.as_mins_f64(), 30.0);
         assert_eq!(c.max_first_mile.as_mins_f64(), 45.0);
         assert_eq!(c.num_threads, 0, "default dispatch fan-out is auto");
-        assert_eq!(c.solver, SolverKind::DecomposedSparseKm, "default solver is sharded sparse KM");
-        assert_eq!(c.build_solver().name(), "decomposed-sparse-km");
+        assert_eq!(c.build_solver().name(), "decomposed-sparse-km", "sharded sparse KM");
         assert!(c.effective_threads() >= 1);
         let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         assert_eq!(
@@ -407,7 +397,6 @@ mod tests {
             .k_factor(50.0)
             .max_orders_per_vehicle(2)
             .num_threads(1)
-            .solver(SolverKind::DenseKm)
             .build()
             .expect("a valid configuration");
         assert_eq!(built.accumulation_window, Duration::from_mins(2.0));
@@ -415,7 +404,6 @@ mod tests {
         assert_eq!(built.k_factor, 50.0);
         assert_eq!(built.max_orders_per_vehicle, 2);
         assert_eq!(built.num_threads, 1);
-        assert_eq!(built.solver, SolverKind::DenseKm);
         // Untouched fields keep the paper defaults.
         assert_eq!(built.max_items_per_vehicle, 10);
         assert!(built.use_batching);

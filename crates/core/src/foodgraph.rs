@@ -16,9 +16,9 @@
 use crate::batching::Batch;
 use crate::config::DispatchConfig;
 use crate::cost::{marginal_cost, MarginalCost};
-use crate::parallel::parallel_map;
 use crate::route::EvaluatedRoute;
 use crate::vehicle::{VehicleId, VehicleSnapshot};
+use foodmatch_matching::parallel_map;
 use foodmatch_matching::SparseCostMatrix;
 use foodmatch_roadnet::dijkstra::Expansion;
 use foodmatch_roadnet::{angular_distance, ShortestPathEngine, TimePoint};

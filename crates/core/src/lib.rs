@@ -62,7 +62,6 @@ pub mod config;
 pub mod cost;
 pub mod foodgraph;
 pub mod order;
-pub mod parallel;
 pub mod policies;
 pub mod route;
 pub mod vehicle;
@@ -73,9 +72,8 @@ pub use codec::{crc32, ByteReader, Codec, DecodeError};
 pub use config::{ConfigError, DispatchConfig, DispatchConfigBuilder};
 pub use cost::{marginal_cost, shortest_delivery_time, MarginalCost};
 pub use foodgraph::{build_food_graph, FoodGraph};
-pub use foodmatch_matching::{AssignmentSolver, SolverKind};
+pub use foodmatch_matching::{parallel_map, AssignmentSolver};
 pub use order::{Order, OrderId};
-pub use parallel::parallel_map;
 pub use policies::{
     DispatchPolicy, FoodMatchPolicy, GreedyPolicy, KuhnMunkresPolicy, PolicyKind, ReyesPolicy,
 };

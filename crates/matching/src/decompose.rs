@@ -200,10 +200,6 @@ impl<S: AssignmentSolver> AssignmentSolver for Decomposed<S> {
         match self.inner.name() {
             "dense-km" => "decomposed-dense-km",
             "sparse-km" => "decomposed-sparse-km",
-            "auction" => "decomposed-auction",
-            // The per-component crossover pick only exists sharded, so the
-            // canonical `SolverKind::Auto` name carries no prefix.
-            "auto-km" => "auto",
             _ => "decomposed",
         }
     }

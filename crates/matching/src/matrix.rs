@@ -115,9 +115,9 @@ impl fmt::Display for CostMatrix {
 /// The sparsified FoodGraph of Algorithm 2 produces exactly this structure:
 /// each vehicle has true marginal-cost edges to at most `k` batches and
 /// Ω-edges to every other batch. The sparse solvers
-/// ([`SparseKm`](crate::SparseKm), [`Auction`](crate::Auction),
-/// [`Decomposed`](crate::Decomposed)) operate on this representation
-/// directly, without ever materialising the Ω entries.
+/// ([`SparseKm`](crate::SparseKm), [`Decomposed`](crate::Decomposed))
+/// operate on this representation directly, without ever materialising the
+/// Ω entries.
 #[derive(Clone, Debug)]
 pub struct SparseCostMatrix {
     rows: usize,

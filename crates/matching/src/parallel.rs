@@ -2,7 +2,7 @@
 //!
 //! Three layers lean on the same primitive: per-component assignment solving
 //! ([`Decomposed`](crate::Decomposed)), per-window dispatch work (FoodGraph
-//! edge construction, batch route planning — see `foodmatch_core::parallel`),
+//! edge construction, batch route planning in `foodmatch-core`),
 //! and per-hour-slot index warm-up (`ShortestPathEngine::warm_all` in
 //! `foodmatch-roadnet`). All of them consist of many independent evaluations
 //! against shared `Send + Sync` state. [`parallel_map`] fans such work out
@@ -11,9 +11,9 @@
 //! every worker writes only its own chunk, and results come back in input
 //! order.
 //!
-//! The implementation lives here — `foodmatch-matching` is the workspace's
-//! dependency-free leaf crate — and is re-exported under the historical
-//! `foodmatch_roadnet::parallel` and `foodmatch_core::parallel` paths.
+//! The implementation lives here because `foodmatch-matching` is the
+//! workspace's dependency-free leaf crate; `foodmatch-core` re-exports
+//! [`parallel_map`] at its root for crates that do not depend on this one.
 
 /// Maps `f` over `items` with up to `threads` scoped workers, returning
 /// results in input order (the closure also receives the item's index).

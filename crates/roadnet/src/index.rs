@@ -33,8 +33,8 @@ use crate::graph::RoadNetwork;
 use crate::hub_labels::HubLabelIndex;
 use crate::ids::{EdgeId, NodeId};
 use crate::overlay::{self, TrafficOverlay};
-use crate::parallel::parallel_map;
 use crate::timeofday::{Duration, HourSlot, TimePoint};
+use foodmatch_matching::parallel_map;
 use foodmatch_telemetry as telemetry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;

@@ -61,7 +61,6 @@ pub mod ids;
 pub mod index;
 pub mod io;
 pub mod overlay;
-pub mod parallel;
 pub mod timeofday;
 
 pub use ch::ContractionHierarchy;
@@ -73,5 +72,4 @@ pub use hub_labels::HubLabelIndex;
 pub use ids::{EdgeId, NodeId};
 pub use index::{EngineKind, ShortestPathEngine};
 pub use overlay::TrafficOverlay;
-pub use parallel::parallel_map;
 pub use timeofday::{Duration, HourSlot, TimePoint};

@@ -27,7 +27,7 @@
 //! checksummed container:
 //!
 //! ```text
-//! [8-byte magic "FMCKPT01"] [u64 payload length] [u32 CRC-32 of payload] [payload]
+//! [8-byte magic "FMCKPT02"] [u64 payload length] [u32 CRC-32 of payload] [payload]
 //! ```
 //!
 //! Files are written atomically — to a temporary sibling, fsynced, then
@@ -52,8 +52,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Magic prefix of every checkpoint file (8 bytes, versioned).
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT01";
+/// Magic prefix of every checkpoint file (8 bytes, versioned). Bumped
+/// whenever the payload layout changes, so an older file is refused with
+/// [`CheckpointError::BadMagic`] instead of being misparsed.
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT02";
 
 /// Name of the manifest file inside a router checkpoint directory.
 pub const ROUTER_MANIFEST: &str = "manifest";
@@ -842,6 +844,24 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         assert!(matches!(unseal(&flipped), Err(CheckpointError::ChecksumMismatch { .. })));
+    }
+
+    #[test]
+    fn previous_format_version_is_refused_with_bad_magic() {
+        // Length and checksum are valid; only the magic is the previous
+        // version's, so the version check alone must refuse the file.
+        let mut old = seal(&DispatchConfig::default().to_bytes());
+        old[..8].copy_from_slice(b"FMCKPT01");
+        let dir = std::env::temp_dir().join(format!("fm-ckpt-v1-test-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("create temp dir");
+        let path = dir.join("v1.ckpt");
+        fs::write(&path, &old).expect("write v1 checkpoint");
+        let loaded = load_checkpoint::<DispatchConfig>(&path);
+        fs::remove_dir_all(&dir).ok();
+        assert!(
+            matches!(loaded, Err(CheckpointError::BadMagic { found }) if &found == b"FMCKPT01"),
+            "{loaded:?}"
+        );
     }
 
     #[test]

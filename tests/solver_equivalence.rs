@@ -1,24 +1,22 @@
-//! Cross-solver equivalence and determinism of the pluggable assignment
-//! stack (seeded-RNG property loops, per the PR 1 testing conventions).
+//! Equivalence and determinism of the assignment solvers against the dense
+//! reference (seeded-RNG property loops).
 //!
-//! The contract under test: every [`SolverKind`] returns an assignment of
-//! `min(rows, cols)` pairs whose total cost equals the dense rectangular
-//! Kuhn–Munkres optimum — exactly for the KM family on arbitrary real
-//! costs, and exactly for the auction on integer costs (its ε-scaling
-//! guarantee). `Decomposed<S>` must additionally be bit-identical for every
-//! thread count.
+//! The contract under test: the dispatch solver (`Decomposed<SparseKm>`)
+//! and its building blocks (`SparseKm`, `Decomposed<DenseKm>`) return an
+//! assignment of `min(rows, cols)` pairs whose total cost equals the dense
+//! rectangular Kuhn–Munkres optimum on arbitrary real and integer costs.
+//! `Decomposed<S>` must additionally be bit-identical for every thread
+//! count.
 
 use foodmatch_matching::{
-    decompose, solve_hungarian, AssignmentSolver, Auction, Decomposed, DenseKm, SolverKind,
-    SparseCostMatrix, SparseKm,
+    decompose, solve_hungarian, AssignmentSolver, Decomposed, DenseKm, SparseCostMatrix, SparseKm,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const OMEGA: f64 = 7_200.0;
 
-/// A random sparse instance; `integer` restricts costs to whole seconds so
-/// the auction's exactness guarantee applies.
+/// A random sparse instance; `integer` restricts costs to whole seconds.
 fn random_instance(rng: &mut StdRng, density: f64, integer: bool) -> SparseCostMatrix {
     let rows = rng.random_range(1..=10);
     let cols = rng.random_range(1..=10);
@@ -36,6 +34,16 @@ fn random_instance(rng: &mut StdRng, density: f64, integer: bool) -> SparseCostM
         }
     }
     costs
+}
+
+/// Every solver checked against the dense reference, with `threads` as the
+/// per-component fan-out of the decomposed ones.
+fn solvers(threads: usize) -> Vec<Box<dyn AssignmentSolver>> {
+    vec![
+        Box::new(SparseKm),
+        Box::new(Decomposed::new(SparseKm).with_threads(threads)),
+        Box::new(Decomposed::new(DenseKm).with_threads(threads)),
+    ]
 }
 
 fn assert_matches_dense(costs: &SparseCostMatrix, solver: &dyn AssignmentSolver, tol: f64) {
@@ -56,11 +64,7 @@ fn assert_matches_dense(costs: &SparseCostMatrix, solver: &dyn AssignmentSolver,
 #[test]
 fn km_family_agrees_with_dense_on_random_real_valued_instances() {
     let mut rng = StdRng::seed_from_u64(0xF00D_CAFE);
-    let solvers: Vec<Box<dyn AssignmentSolver>> = vec![
-        Box::new(SparseKm),
-        Box::new(Decomposed::new(SparseKm).with_threads(2)),
-        Box::new(Decomposed::new(DenseKm).with_threads(2)),
-    ];
+    let solvers = solvers(2);
     for trial in 0..250usize {
         let density = [0.1, 0.3, 0.6][trial % 3];
         let costs = random_instance(&mut rng, density, false);
@@ -73,14 +77,14 @@ fn km_family_agrees_with_dense_on_random_real_valued_instances() {
 #[test]
 fn every_solver_kind_is_exact_on_random_integer_instances() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
+    let solvers = solvers(2);
     for trial in 0..150usize {
         let density = [0.15, 0.45, 0.8][trial % 3];
         let costs = random_instance(&mut rng, density, true);
-        for kind in SolverKind::ALL {
+        for solver in &solvers {
             // Integer totals differ by >= 1, so 0.5 separates "picked an
-            // optimal matching" from any suboptimal one for every solver,
-            // including the ε-scaling auction.
-            assert_matches_dense(&costs, kind.build(2).as_ref(), 0.5);
+            // optimal matching" from any suboptimal one.
+            assert_matches_dense(&costs, solver.as_ref(), 0.5);
         }
     }
 }
@@ -88,6 +92,7 @@ fn every_solver_kind_is_exact_on_random_integer_instances() {
 #[test]
 fn rectangular_extremes_and_degenerate_shapes_agree() {
     let mut rng = StdRng::seed_from_u64(7_777);
+    let solvers = solvers(3);
     // Very wide and very tall shapes, fully dense and nearly empty.
     for &(rows, cols) in &[(1usize, 12usize), (12, 1), (2, 9), (9, 2), (8, 8)] {
         for density in [0.0, 1.0] {
@@ -99,8 +104,8 @@ fn rectangular_extremes_and_degenerate_shapes_agree() {
                     }
                 }
             }
-            for kind in SolverKind::ALL {
-                assert_matches_dense(&costs, kind.build(3).as_ref(), 0.5);
+            for solver in &solvers {
+                assert_matches_dense(&costs, solver.as_ref(), 0.5);
             }
         }
     }
@@ -110,10 +115,10 @@ fn rectangular_extremes_and_degenerate_shapes_agree() {
 fn all_omega_instances_reduce_to_pure_rejection_padding() {
     let costs = SparseCostMatrix::new(6, 4, OMEGA);
     assert!(decompose(&costs).is_empty());
-    for kind in SolverKind::ALL {
-        let solved = kind.build(2).solve(&costs);
+    for solver in solvers(2) {
+        let solved = solver.solve(&costs);
         assert_eq!(solved.matched_pairs(), 4);
-        assert!((solved.total_cost - 4.0 * OMEGA).abs() < 1e-9, "{kind}");
+        assert!((solved.total_cost - 4.0 * OMEGA).abs() < 1e-9, "{}", solver.name());
     }
 }
 
@@ -125,9 +130,9 @@ fn explicit_entries_at_omega_never_beat_rejection() {
     costs.set(0, 0, OMEGA);
     costs.set(1, 1, 120.0);
     costs.set(2, 1, 60.0);
-    for kind in SolverKind::ALL {
-        let solved = kind.build(2).solve(&costs);
-        assert!((solved.total_cost - (60.0 + 2.0 * OMEGA)).abs() < 1e-6, "{kind}");
+    for solver in solvers(2) {
+        let solved = solver.solve(&costs);
+        assert!((solved.total_cost - (60.0 + 2.0 * OMEGA)).abs() < 1e-6, "{}", solver.name());
     }
 }
 
@@ -146,15 +151,13 @@ fn decomposed_solves_are_bit_identical_across_thread_counts() {
             }
         }
         assert!(decompose(&costs).len() >= 2, "block instance must decompose");
-        for kind in [SolverKind::DecomposedSparseKm, SolverKind::DecomposedDenseKm] {
-            let reference = kind.build(1).solve(&costs);
-            for threads in [2, 3, 8, 17] {
-                let solved = kind.build(threads).solve(&costs);
-                assert_eq!(
-                    solved, reference,
-                    "{kind} with {threads} threads diverged on trial {trial}"
-                );
-            }
+        let sparse = Decomposed::new(SparseKm).with_threads(1).solve(&costs);
+        let dense = Decomposed::new(DenseKm).with_threads(1).solve(&costs);
+        for threads in [2, 3, 8, 17] {
+            let solved = Decomposed::new(SparseKm).with_threads(threads).solve(&costs);
+            assert_eq!(solved, sparse, "sparse KM, {threads} threads, trial {trial}");
+            let solved = Decomposed::new(DenseKm).with_threads(threads).solve(&costs);
+            assert_eq!(solved, dense, "dense KM, {threads} threads, trial {trial}");
         }
     }
 }
@@ -197,24 +200,5 @@ fn component_sharding_partitions_rows_and_columns() {
                 assert!(seen_rows[r] && seen_cols[c]);
             }
         }
-    }
-}
-
-#[test]
-fn auction_stays_within_its_epsilon_bound_on_real_costs() {
-    // On real-valued costs the auction is only ε-optimal; the bound is
-    // participants·ε < 1 second, far below any meaningful dispatch cost.
-    let mut rng = StdRng::seed_from_u64(424_242);
-    for _ in 0..100 {
-        let costs = random_instance(&mut rng, 0.4, false);
-        let dense = solve_hungarian(&costs.to_dense());
-        let solved = Auction::new().solve(&costs);
-        assert!(solved.total_cost >= dense.total_cost - 1e-6, "auction can never beat the optimum");
-        assert!(
-            solved.total_cost - dense.total_cost < 1.0,
-            "auction exceeded its ε bound: {} vs {}",
-            solved.total_cost,
-            dense.total_cost
-        );
     }
 }
